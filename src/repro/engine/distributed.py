@@ -87,6 +87,7 @@ from pathlib import Path
 from typing import Any, Callable, Iterator, Sequence
 
 from repro.engine.backends import BatchExecutor, SerialBackend
+from repro.engine.cache import atomic_write_bytes
 from repro.engine.tasks import PROTOCOL_VERSION, UnitResult, WorkUnit, shard_units
 
 __all__ = [
@@ -131,18 +132,6 @@ def _parse_address(address: str) -> tuple[str, int]:
     if not host or not port.isdigit():
         raise ValueError(f"coordinator address must be HOST:PORT, got {address!r}")
     return host, int(port)
-
-
-def _atomic_write_bytes(path: Path, data: bytes) -> None:
-    """Write via a uniquely-named sibling + ``os.replace``.
-
-    Readers polling ``path`` (job-dir workers/coordinators, cache probes)
-    never observe a partial file, and the uuid component keeps temp names
-    collision-free across hosts sharing a filesystem (PIDs alone collide).
-    """
-    tmp = path.with_suffix(f".tmp-{os.getpid()}-{uuid.uuid4().hex[:8]}")
-    tmp.write_bytes(data)
-    os.replace(tmp, path)
 
 
 def _filename_safe(name: str) -> str:
@@ -384,7 +373,7 @@ def _execute_unit_cached(
         result = execute_unit(unit, executor)
         if path is not None:
             path.parent.mkdir(parents=True, exist_ok=True)
-            _atomic_write_bytes(path, pickle.dumps(list(result.values)))
+            atomic_write_bytes(path, pickle.dumps(list(result.values)))
     stats.units_completed += 1
     stats.runs_completed += len(result.values)
     return result
@@ -780,7 +769,7 @@ class DistributedBackend(BatchExecutor):
                 )
         # (Re)write the metadata so a reused directory reflects *this*
         # coordinator's configuration, not the first-ever campaign's.
-        _atomic_write_bytes(
+        atomic_write_bytes(
             meta_path,
             json.dumps(
                 {
@@ -808,7 +797,7 @@ class DistributedBackend(BatchExecutor):
             (batch_dir / sub).mkdir(parents=True, exist_ok=True)
         for unit in units:
             path = batch_dir / "units" / f"{unit.block_index:05d}.unit"
-            _atomic_write_bytes(path, pickle.dumps(unit))
+            atomic_write_bytes(path, pickle.dumps(unit))
         pending = {unit.block_index: unit for unit in units}
         try:
             deadline = self._new_deadline()
@@ -1156,7 +1145,7 @@ def _job_dir_worker_loop(
                     stop_heartbeat.set()
                     heartbeat.join(timeout=2.0)
                 result_path.parent.mkdir(parents=True, exist_ok=True)
-                _atomic_write_bytes(result_path, pickle.dumps(list(result.values)))
+                atomic_write_bytes(result_path, pickle.dumps(list(result.values)))
                 # First writer wins; duplicates are byte-identical anyway.
                 did_work = True
                 completed += 1

@@ -16,10 +16,7 @@ campaigns.
 """
 
 from repro.experiments.config import BENCHMARK_KEYS, SAT_KEY, ExperimentConfig
-from repro.experiments.data import (
-    collect_benchmark_observations,
-    collect_sat_observations,
-)
+from repro.experiments.data import collect_observations
 from repro.experiments.registry import (
     EXPERIMENTS,
     ExperimentEntry,
@@ -33,8 +30,7 @@ __all__ = [
     "ExperimentConfig",
     "ExperimentEntry",
     "SAT_KEY",
-    "collect_benchmark_observations",
-    "collect_sat_observations",
+    "collect_observations",
     "list_experiments",
     "run_experiment",
 ]

@@ -1,19 +1,21 @@
-"""Collection and caching of the sequential solver campaigns.
+"""Collection of the sequential solver campaigns.
 
-Every solver-backed experiment (Tables 1–5, Figures 6–14) consumes the same
-raw material: a batch of independent sequential Adaptive Search runs per
-benchmark.  Collecting them is by far the most expensive step, so batches
-are cached in-process (keyed by the configuration) and can optionally be
-persisted on disk through the engine's content-addressed
-:class:`repro.engine.ObservationCache` so that repeated CLI invocations
-reuse earlier campaigns.  Execution itself is delegated to the campaign
-orchestrator (:func:`repro.campaign.run_campaign` over the stage DAGs
-declared in :mod:`repro.experiments.stages`, with the controller ``off``),
-which routes every batch through :func:`repro.engine.collect_batch` —
-campaigns can be collected on any backend with bit-identical results, and
-a disk-cache entry written by one backend is a valid hit for all of them.
+Every solver-backed experiment (Tables 1–5, Figures 6–14, the SAT tables)
+consumes the same raw material: a batch of independent sequential runs per
+benchmark.  :func:`collect_observations` is the one way to collect them: it
+runs the stage DAG of :mod:`repro.experiments.stages` through the campaign
+orchestrator (:func:`repro.campaign.run_campaign`) with the controller
+``off``, which routes every batch through :func:`repro.engine.collect_batch`
+— campaigns can be collected on any backend with bit-identical results.
+Batches persist across processes through the engine's content-addressed
+:class:`repro.engine.ObservationCache` when a cache directory is given; a
+disk-cache entry written by one backend is a valid hit for all of them.
 
-The collectors run the orchestrator with ``enforce_required=False``: an
+The stage DAG gives the ``SAT`` workload and the default policy's row of
+the policy family one stage with two emit keys, so that batch runs once
+per call even without a disk cache.
+
+The collector runs the orchestrator with ``enforce_required=False``: an
 all-censored batch is a legitimate *answer* for a table (the
 censoring-aware formatting paths exist for it), whereas the ``campaign``
 subcommand enforces the BUG-021 zero-observation guardrail.
@@ -23,134 +25,38 @@ from __future__ import annotations
 
 import dataclasses
 from pathlib import Path
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from repro.campaign.orchestrator import run_campaign
 from repro.engine.backends import BatchExecutor
 from repro.engine.progress import ProgressCallback
-from repro.experiments.config import BENCHMARK_KEYS, SAT_KEY, ExperimentConfig
+from repro.experiments.config import ExperimentConfig
 from repro.experiments.stages import campaign_stages
 from repro.multiwalk.observations import RuntimeObservations
-from repro.solvers.policies import POLICIES
 
-__all__ = [
-    "campaign_precollected",
-    "collect_benchmark_observations",
-    "collect_sat_observations",
-    "collect_sat_policy_observations",
-    "clear_observation_cache",
-    "memoize_campaign",
-]
-
-#: In-process cache: (campaign kind, config fingerprint) -> key -> batch.
-#: One dict for every observation kind, so adding a kind cannot forget the
-#: cache-clearing path.  Deliberately ignores the backend: the engine
-#: guarantees backend-invariant results, so a campaign collected anywhere
-#: satisfies every caller.
-_CACHE: dict[tuple, dict[str, RuntimeObservations]] = {}
+__all__ = ["CampaignSummary", "collect_observations"]
 
 
-def _config_fingerprint(config: ExperimentConfig) -> tuple:
-    """Hashable identity of the config parts that affect the CSP campaigns."""
-    return (
-        "benchmarks",
-        config.magic_square_n,
-        config.all_interval_n,
-        config.costas_n,
-        config.n_sequential_runs,
-        config.max_iterations,
-        config.base_seed,
-    )
-
-
-def _sat_fingerprint(config: ExperimentConfig, kind: str = "sat") -> tuple:
-    """Hashable identity of the config parts that affect the SAT campaigns."""
-    return (
-        kind,
-        config.sat_n_variables,
-        config.sat_clause_ratio,
-        config.sat_k,
-        config.sat_family,
-        config.sat_policy,
-        config.sat_dimacs,
-        config.n_sequential_runs,
-        config.max_iterations,
-        config.base_seed,
-    )
-
-
-def clear_observation_cache() -> None:
-    """Drop all cached campaigns, of every kind (mostly useful in tests)."""
-    _CACHE.clear()
-
-
-def campaign_precollected(config: ExperimentConfig) -> dict[str, RuntimeObservations]:
-    """In-process memoised batches keyed by *stage key*.
-
-    The warm-start mapping the ``campaign`` subcommand hands to the
-    orchestrator (``precollected=``) so a CLI campaign in a process whose
-    collectors already ran — the test-suite, a notebook — reuses those
-    batches instead of re-executing stages.  Only classic full batches are
-    memoised, so this applies to the ``off`` controller alone.
-    """
-    out: dict[str, RuntimeObservations] = {}
-    bench = _CACHE.get(_config_fingerprint(config))
-    if bench is not None:
-        out.update(bench)  # benchmark keys are their stage keys
-    sat_memo = _CACHE.get(_sat_fingerprint(config))
-    if sat_memo is not None:
-        out[SAT_KEY] = sat_memo[SAT_KEY]
-    policies = _CACHE.get(_sat_fingerprint(config, kind="sat_policies"))
-    if policies is not None:
-        for policy in POLICIES:
-            key = f"{SAT_KEY}/{policy}"
-            if key not in policies:
-                continue
-            if policy == config.sat_policy:
-                # The default policy's batch is the SAT stage itself.
-                out.setdefault(SAT_KEY, policies[key])
-            else:
-                out[key] = policies[key]
-    return out
-
-
-def memoize_campaign(
-    config: ExperimentConfig, observations: Mapping[str, RuntimeObservations]
-) -> None:
-    """Record a completed classic (controller-``off``) campaign in the memo.
-
-    The inverse of :func:`campaign_precollected`: after the ``campaign``
-    subcommand collects its batches through the orchestrator, this seeds
-    the same in-process entries the plain collectors would have, so
-    experiments run later in the process reuse them.
-    """
-    if all(key in observations for key in BENCHMARK_KEYS):
-        _CACHE[_config_fingerprint(config)] = {
-            key: observations[key] for key in BENCHMARK_KEYS
-        }
-    if SAT_KEY in observations:
-        _CACHE[_sat_fingerprint(config)] = {SAT_KEY: observations[SAT_KEY]}
-    policy_keys = [f"{SAT_KEY}/{policy}" for policy in POLICIES]
-    if all(key in observations for key in policy_keys):
-        _CACHE[_sat_fingerprint(config, kind="sat_policies")] = {
-            key: observations[key] for key in policy_keys
-        }
-
-
-def collect_benchmark_observations(
+def collect_observations(
     config: ExperimentConfig,
+    kinds: Iterable[str],
     *,
     cache_dir: str | Path | None = None,
     backend: str | BatchExecutor | None = None,
     workers: int | None = None,
     progress: ProgressCallback | None = None,
-) -> Mapping[str, RuntimeObservations]:
-    """Run (or reuse) the sequential campaigns for the three benchmarks.
+) -> dict[str, RuntimeObservations]:
+    """Run the sequential campaigns of the requested observation kinds.
 
     Parameters
     ----------
     config:
         Experiment configuration (instance sizes, run counts, seed).
+    kinds:
+        Observation kinds to collect (any of
+        :data:`~repro.experiments.stages.STAGE_KINDS`).  Keys of the
+        returned mapping are the stages' emit keys: ``"MS"``, ``"AI"``,
+        ``"Costas"``, ``"SAT"`` and ``"SAT/<policy>"``.
     cache_dir:
         Optional directory for JSON persistence across processes.  Files are
         content-addressed by (solver, config, problem, seed), so changing
@@ -161,12 +67,8 @@ def collect_benchmark_observations(
     progress:
         Optional structured progress callback forwarded to the engine.
     """
-    fingerprint = _config_fingerprint(config)
-    if fingerprint in _CACHE:
-        return dict(_CACHE[fingerprint])
-
     report = run_campaign(
-        campaign_stages(config, kinds=("benchmarks",)),
+        campaign_stages(config, kinds),
         controller="off",
         backend=backend,
         workers=workers,
@@ -174,107 +76,7 @@ def collect_benchmark_observations(
         cache=cache_dir,
         enforce_required=False,
     )
-    observations = report.observations()
-
-    _CACHE[fingerprint] = dict(observations)
-    return observations
-
-
-def collect_sat_observations(
-    config: ExperimentConfig,
-    *,
-    cache_dir: str | Path | None = None,
-    backend: str | BatchExecutor | None = None,
-    workers: int | None = None,
-    progress: ProgressCallback | None = None,
-) -> Mapping[str, RuntimeObservations]:
-    """Run (or reuse) the sequential WalkSAT campaign on the configured SAT workload.
-
-    The instance family (planted / uniform / DIMACS) and the flip policy
-    come from ``config.sat_family`` / ``config.sat_policy``.  Same contract
-    as :func:`collect_benchmark_observations` — engine-routed execution on
-    any backend with bit-identical flip counts, in-process memoisation per
-    configuration, and optional content-addressed disk persistence — for
-    the SAT workload the paper's conclusion proposes.  Returns a
-    single-entry mapping keyed by
-    :data:`~repro.experiments.config.SAT_KEY` so SAT campaigns compose with
-    the benchmark ones.
-    """
-    fingerprint = _sat_fingerprint(config)
-    if fingerprint in _CACHE:
-        return dict(_CACHE[fingerprint])
-
-    report = run_campaign(
-        campaign_stages(config, kinds=("sat",)),
-        controller="off",
-        backend=backend,
-        workers=workers,
-        progress=progress,
-        cache=cache_dir,
-        enforce_required=False,
-    )
-    observations = report.observations()
-
-    _CACHE[fingerprint] = dict(observations)
-    return dict(observations)
-
-
-def collect_sat_policy_observations(
-    config: ExperimentConfig,
-    *,
-    cache_dir: str | Path | None = None,
-    backend: str | BatchExecutor | None = None,
-    workers: int | None = None,
-    progress: ProgressCallback | None = None,
-) -> Mapping[str, RuntimeObservations]:
-    """Run (or reuse) one WalkSAT campaign per registered flip policy.
-
-    Every policy runs on the *same* configured instance with the *same*
-    seed stream (``base_seed + 3``, the root the single-policy SAT
-    campaign uses), so the batches differ only in the policy — the SAT
-    analogue of comparing solvers on a fixed benchmark.  Keys are
-    ``"SAT/<policy>"``; the configured policy's batch is the one
-    :func:`collect_sat_observations` collects (identical solver, seed root
-    and label), so it is *reused* here — through the in-process memo even
-    without a disk cache — rather than executed a second time.
-    """
-    fingerprint = _sat_fingerprint(config, kind="sat_policies")
-    if fingerprint in _CACHE:
-        return dict(_CACHE[fingerprint])
-
-    # The configured policy's batch is the one the single-policy SAT
-    # campaign collects (identical solver, seed root and label); when that
-    # collector already memoised it in-process, hand it to the orchestrator
-    # pre-collected so a `campaign` invocation never runs the policy twice.
-    precollected: dict[str, RuntimeObservations] = {}
-    sat_memo = _CACHE.get(_sat_fingerprint(config))
-    if sat_memo is not None:
-        precollected[SAT_KEY] = sat_memo[SAT_KEY]
-    report = run_campaign(
-        campaign_stages(config, kinds=("sat_policies",)),
-        controller="off",
-        backend=backend,
-        workers=workers,
-        progress=progress,
-        cache=cache_dir,
-        enforce_required=False,
-        precollected=precollected,
-    )
-    collected = report.observations()
-    # Reorder to the registered policy order (the shared default-policy
-    # batch sits at its policy position, not at its stage position).
-    observations = {
-        key: collected[key] for policy in POLICIES if (key := f"{SAT_KEY}/{policy}") in collected
-    }
-
-    _CACHE[fingerprint] = dict(observations)
-    # The default policy's batch doubles as the single-policy campaign, so
-    # memoise it under that fingerprint too (the reuse the plain collector
-    # provided when it was called second).
-    _CACHE.setdefault(
-        _sat_fingerprint(config), {SAT_KEY: observations[f"{SAT_KEY}/{config.sat_policy}"]}
-    )
-    return dict(observations)
+    return report.observations()
 
 
 @dataclasses.dataclass(frozen=True)

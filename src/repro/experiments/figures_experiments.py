@@ -20,7 +20,6 @@ import numpy as np
 
 from repro.core.prediction import predict_speedup_curve
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.data import collect_benchmark_observations
 from repro.experiments.report import format_series
 from repro.multiwalk.observations import RuntimeObservations
 from repro.multiwalk.simulate import MultiwalkMeasurement, simulate_multiwalk_speedups
@@ -69,12 +68,10 @@ def _measure(
 
 
 def figure6_csplib_speedups(
-    config: ExperimentConfig | None = None,
-    observations: Mapping[str, RuntimeObservations] | None = None,
+    config: ExperimentConfig,
+    observations: Mapping[str, RuntimeObservations],
 ) -> MeasuredSpeedupFigure:
     """Figure 6: measured speed-ups for the CSPLib benchmarks (MS and AI)."""
-    config = config or ExperimentConfig.quick()
-    observations = observations or collect_benchmark_observations(config)
     rng = np.random.default_rng(config.base_seed + 6)
     cores = tuple(config.cores)
     ms = _measure(observations["MS"], cores, config, rng)
@@ -92,12 +89,10 @@ def figure6_csplib_speedups(
 
 
 def figure7_costas_speedups(
-    config: ExperimentConfig | None = None,
-    observations: Mapping[str, RuntimeObservations] | None = None,
+    config: ExperimentConfig,
+    observations: Mapping[str, RuntimeObservations],
 ) -> MeasuredSpeedupFigure:
     """Figure 7: measured speed-up for the COSTAS ARRAY problem."""
-    config = config or ExperimentConfig.quick()
-    observations = observations or collect_benchmark_observations(config)
     rng = np.random.default_rng(config.base_seed + 7)
     cores = tuple(config.cores)
     costas = _measure(observations["Costas"], cores, config, rng)
@@ -113,8 +108,8 @@ def figure7_costas_speedups(
 
 
 def figure14_costas_extended(
-    config: ExperimentConfig | None = None,
-    observations: Mapping[str, RuntimeObservations] | None = None,
+    config: ExperimentConfig,
+    observations: Mapping[str, RuntimeObservations],
 ) -> MeasuredSpeedupFigure:
     """Figure 14: COSTAS speed-up at large core counts, measured vs predicted.
 
@@ -123,8 +118,6 @@ def figure14_costas_extended(
     point of the figure is that both stay close to the ideal linear line far
     beyond 256 cores.
     """
-    config = config or ExperimentConfig.quick()
-    observations = observations or collect_benchmark_observations(config)
     rng = np.random.default_rng(config.base_seed + 14)
     cores = tuple(list(config.cores) + list(config.extended_cores))
     costas_obs = observations["Costas"]

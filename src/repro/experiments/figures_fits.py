@@ -17,7 +17,6 @@ from typing import Mapping
 from repro.core.fitting import FitResult, fit_distribution
 from repro.core.speedup import SpeedupCurve, SpeedupModel
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.data import collect_benchmark_observations
 from repro.experiments.report import format_series
 from repro.multiwalk.observations import RuntimeObservations
 from repro.stats.histogram import HistogramOverlay, histogram_with_fit
@@ -65,15 +64,6 @@ class PredictedSpeedupFigure:
             title=self.title,
         )
         return body + f"\nasymptotic limit: {self.limit:.4g}"
-
-
-def _observations(
-    config: ExperimentConfig | None,
-    observations: Mapping[str, RuntimeObservations] | None,
-) -> tuple[ExperimentConfig, Mapping[str, RuntimeObservations]]:
-    config = config or ExperimentConfig.quick()
-    observations = observations or collect_benchmark_observations(config)
-    return config, observations
 
 
 def _fit_for(config: ExperimentConfig, observations: Mapping[str, RuntimeObservations], key: str) -> FitResult:
@@ -126,37 +116,43 @@ def _prediction_figure(
 
 
 # ----------------------------------------------------------------------
-def figure8_all_interval_fit(config=None, observations=None) -> DistributionFitFigure:
+def figure8_all_interval_fit(
+    config: ExperimentConfig, observations: Mapping[str, RuntimeObservations]
+) -> DistributionFitFigure:
     """Figure 8: ALL-INTERVAL histogram with its shifted-exponential fit."""
-    config, observations = _observations(config, observations)
     return _fit_figure(config, observations, "AI", 8)
 
 
-def figure9_all_interval_prediction(config=None, observations=None) -> PredictedSpeedupFigure:
+def figure9_all_interval_prediction(
+    config: ExperimentConfig, observations: Mapping[str, RuntimeObservations]
+) -> PredictedSpeedupFigure:
     """Figure 9: predicted speed-up for ALL-INTERVAL (finite limit)."""
-    config, observations = _observations(config, observations)
     return _prediction_figure(config, observations, "AI", 9)
 
 
-def figure10_magic_square_fit(config=None, observations=None) -> DistributionFitFigure:
+def figure10_magic_square_fit(
+    config: ExperimentConfig, observations: Mapping[str, RuntimeObservations]
+) -> DistributionFitFigure:
     """Figure 10: MAGIC-SQUARE histogram with its shifted-lognormal fit."""
-    config, observations = _observations(config, observations)
     return _fit_figure(config, observations, "MS", 10)
 
 
-def figure11_magic_square_prediction(config=None, observations=None) -> PredictedSpeedupFigure:
+def figure11_magic_square_prediction(
+    config: ExperimentConfig, observations: Mapping[str, RuntimeObservations]
+) -> PredictedSpeedupFigure:
     """Figure 11: predicted speed-up for MAGIC-SQUARE (lognormal model)."""
-    config, observations = _observations(config, observations)
     return _prediction_figure(config, observations, "MS", 11)
 
 
-def figure12_costas_fit(config=None, observations=None) -> DistributionFitFigure:
+def figure12_costas_fit(
+    config: ExperimentConfig, observations: Mapping[str, RuntimeObservations]
+) -> DistributionFitFigure:
     """Figure 12: COSTAS histogram with its (non-shifted) exponential fit."""
-    config, observations = _observations(config, observations)
     return _fit_figure(config, observations, "Costas", 12)
 
 
-def figure13_costas_prediction(config=None, observations=None) -> PredictedSpeedupFigure:
+def figure13_costas_prediction(
+    config: ExperimentConfig, observations: Mapping[str, RuntimeObservations]
+) -> PredictedSpeedupFigure:
     """Figure 13: predicted speed-up for COSTAS (essentially linear)."""
-    config, observations = _observations(config, observations)
     return _prediction_figure(config, observations, "Costas", 13)

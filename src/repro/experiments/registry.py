@@ -4,9 +4,10 @@ Paper identifiers (``table1`` … ``figure14``) reproduce the evaluation
 section; the ``sat_*`` experiments exercise the SAT extension the paper's
 conclusion proposes.  Each entry declares which observation campaign it
 consumes (``"benchmarks"`` for the three CSP benchmarks, ``"sat"`` for the
-planted 3-SAT WalkSAT campaign, ``None`` for pure-model figures) so the CLI
-and :func:`run_experiment` collect each campaign at most once per
-invocation and share it through the observation caches.
+configured WalkSAT workload, ``"sat_policies"`` for the flip-policy family,
+``None`` for pure-model figures) so the CLI can collect the union of the
+campaigns a set of experiments needs in one
+:func:`~repro.experiments.data.collect_observations` call.
 """
 
 from __future__ import annotations
@@ -15,20 +16,14 @@ import dataclasses
 from typing import Callable, Mapping
 
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.data import (
-    collect_benchmark_observations,
-    collect_sat_observations,
-    collect_sat_policy_observations,
-)
-from repro.experiments.stages import STAGE_KINDS, campaign_stages
+from repro.experiments.data import collect_observations
+from repro.experiments.stages import STAGE_KINDS
 from repro.experiments import figures_experiments, figures_fits, figures_model, sat, tables
 
 __all__ = [
     "EXPERIMENTS",
     "ExperimentEntry",
     "OBSERVATION_KINDS",
-    "campaign_stages_for",
-    "collect_observations_for",
     "list_experiments",
     "run_experiment",
 ]
@@ -36,27 +31,6 @@ __all__ = [
 #: Observation-campaign kinds an experiment can declare — the registered
 #: stage vocabulary of :mod:`repro.experiments.stages`.
 OBSERVATION_KINDS: tuple[str, ...] = STAGE_KINDS
-
-#: Campaign collectors per kind (signature of collect_benchmark_observations).
-#: Each one executes the corresponding stage definitions through the
-#: campaign orchestrator with the controller off, plus in-process memoing.
-_COLLECTORS: Mapping[str, Callable] = {
-    "benchmarks": collect_benchmark_observations,
-    "sat": collect_sat_observations,
-    "sat_policies": collect_sat_policy_observations,
-}
-
-
-def campaign_stages_for(config: ExperimentConfig, kinds=OBSERVATION_KINDS):
-    """Registered stage definitions for the requested observation kinds.
-
-    The declarative face of the collectors: the returned
-    :class:`repro.campaign.StageSpec` DAG is what the ``campaign``
-    subcommand hands to :func:`repro.campaign.run_campaign` (with any
-    controller), while :func:`collect_observations_for` remains the
-    memoised controller-``off`` shortcut the experiments use.
-    """
-    return campaign_stages(config, kinds=kinds)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -70,8 +44,9 @@ class ExperimentEntry:
         ``(config, observations)``, pure-model ones take keyword arguments
         only.
     observations:
-        Which campaign the experiment consumes: ``"benchmarks"``, ``"sat"``
-        or ``None`` for experiments that run no solver.
+        Which campaign the experiment consumes (one of
+        :data:`OBSERVATION_KINDS`), or ``None`` for experiments that run no
+        solver.
     description:
         One-line description shown by ``repro-lasvegas list``.
     """
@@ -119,23 +94,13 @@ def list_experiments() -> list[tuple[str, str]]:
     return [(name, entry.description) for name, entry in EXPERIMENTS.items()]
 
 
-def collect_observations_for(kind: str, config: ExperimentConfig, **kwargs):
-    """Collect (or reuse) the observation campaign of the given kind."""
-    try:
-        collector = _COLLECTORS[kind]
-    except KeyError:
-        raise KeyError(
-            f"unknown observation kind {kind!r}; known kinds: {sorted(_COLLECTORS)}"
-        ) from None
-    return collector(config, **kwargs)
-
-
 def run_experiment(name: str, config: ExperimentConfig | None = None, **kwargs):
     """Run one experiment by its identifier and return its result object.
 
-    Solver-backed experiments share their campaign (CSP benchmarks or the
-    SAT workload) through the observation caches, so running several of
-    them only pays the solver cost once per configuration.
+    Solver-backed experiments take their campaign from ``observations=``
+    when given (a mapping from :func:`collect_observations`, which may
+    cover more kinds than the experiment needs); otherwise the campaign is
+    collected here, serially and without a disk cache.
     """
     try:
         entry = EXPERIMENTS[name]
@@ -146,6 +111,6 @@ def run_experiment(name: str, config: ExperimentConfig | None = None, **kwargs):
         config = config or ExperimentConfig.quick()
         observations = kwargs.pop("observations", None)
         if observations is None:
-            observations = collect_observations_for(entry.observations, config)
+            observations = collect_observations(config, (entry.observations,))
         return entry.func(config, observations, **kwargs)
     return entry.func(**kwargs)

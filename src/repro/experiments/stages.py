@@ -1,12 +1,12 @@
 """Stage definitions of the experiment campaigns.
 
-The observation collectors in :mod:`repro.experiments.data` used to be
-three hand-rolled ``collect_batch`` loops; their campaigns are now
-*declared* here as :class:`repro.campaign.StageSpec` DAGs and executed by
-the orchestrator.  One stage per batch, with exactly the quota, seed root,
-budget and label the plain collectors used — which is what keeps
-``--controller off`` campaigns byte-identical to the pre-orchestrator ones
-(same solvers, same seed streams, same disk-cache addresses).
+The experiment campaigns are *declared* here as
+:class:`repro.campaign.StageSpec` DAGs and executed by the orchestrator
+(:func:`repro.experiments.data.collect_observations` runs them with the
+controller ``off``).  One stage per batch, each with a fixed quota, seed
+root, budget and label — which is what keeps ``--controller off``
+campaigns byte-identical across releases (same solvers, same seed
+streams, same disk-cache addresses).
 
 The stage DAG for a full campaign:
 

@@ -22,7 +22,6 @@ import numpy as np
 
 from repro.core.prediction import PredictionResult, predict_speedup_curve
 from repro.experiments.config import BENCHMARK_KEYS, ExperimentConfig
-from repro.experiments.data import collect_benchmark_observations
 from repro.experiments.report import format_table
 from repro.multiwalk.observations import RuntimeObservations
 from repro.multiwalk.simulate import MultiwalkMeasurement, simulate_multiwalk_speedups
@@ -83,22 +82,18 @@ def _summary_table(
 
 
 def table1_sequential_times(
-    config: ExperimentConfig | None = None,
-    observations: Mapping[str, RuntimeObservations] | None = None,
+    config: ExperimentConfig,
+    observations: Mapping[str, RuntimeObservations],
 ) -> SequentialSummaryTable:
     """Table 1: sequential execution times (seconds)."""
-    config = config or ExperimentConfig.quick()
-    observations = observations or collect_benchmark_observations(config)
     return _summary_table(config, observations, "time", "Table 1. Sequential execution times (s)")
 
 
 def table2_sequential_iterations(
-    config: ExperimentConfig | None = None,
-    observations: Mapping[str, RuntimeObservations] | None = None,
+    config: ExperimentConfig,
+    observations: Mapping[str, RuntimeObservations],
 ) -> SequentialSummaryTable:
     """Table 2: sequential number of iterations."""
-    config = config or ExperimentConfig.quick()
-    observations = observations or collect_benchmark_observations(config)
     return _summary_table(
         config, observations, "iterations", "Table 2. Sequential number of iterations"
     )
@@ -164,24 +159,20 @@ def _speedup_table(
 
 
 def table3_time_speedups(
-    config: ExperimentConfig | None = None,
-    observations: Mapping[str, RuntimeObservations] | None = None,
+    config: ExperimentConfig,
+    observations: Mapping[str, RuntimeObservations],
 ) -> SpeedupTable:
     """Table 3: measured speed-ups with respect to sequential time."""
-    config = config or ExperimentConfig.quick()
-    observations = observations or collect_benchmark_observations(config)
     return _speedup_table(
         config, observations, "time", "Table 3. Speed-ups with respect to sequential time"
     )
 
 
 def table4_iteration_speedups(
-    config: ExperimentConfig | None = None,
-    observations: Mapping[str, RuntimeObservations] | None = None,
+    config: ExperimentConfig,
+    observations: Mapping[str, RuntimeObservations],
 ) -> SpeedupTable:
     """Table 4: measured speed-ups with respect to sequential iterations."""
-    config = config or ExperimentConfig.quick()
-    observations = observations or collect_benchmark_observations(config)
     return _speedup_table(
         config,
         observations,
@@ -239,14 +230,12 @@ class PredictionComparisonTable:
 
 
 def table5_prediction_comparison(
-    config: ExperimentConfig | None = None,
-    observations: Mapping[str, RuntimeObservations] | None = None,
+    config: ExperimentConfig,
+    observations: Mapping[str, RuntimeObservations],
     *,
     cores: Sequence[int] | None = None,
 ) -> PredictionComparisonTable:
     """Table 5: predicted speed-ups (Section 6 fits) vs measured speed-ups."""
-    config = config or ExperimentConfig.quick()
-    observations = observations or collect_benchmark_observations(config)
     core_list = tuple(int(c) for c in (cores or config.cores))
 
     experimental_table = _speedup_table(config, observations, "iterations", "")

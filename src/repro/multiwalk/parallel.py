@@ -1,58 +1,23 @@
-"""Real multi-walk execution (first finisher wins).
+"""Emulated multi-walk execution (first finisher wins).
 
-Two realisations are provided:
-
-* :func:`emulate_multiwalk` runs the ``n`` walks one after another in the
-  current process and reports the minimum cost.  In iteration count this is
-  *exactly* what a parallel run would measure (the walks do not interact);
-  only the wall-clock figure is an emulation.
-* :class:`MultiWalkExecutor` races the walks through the execution engine
-  (:func:`repro.engine.run_race`) and returns as soon as the first solution
-  arrives, mirroring the kill-all-others protocol of Definition 2.  It is
-  intended for modest core counts on a real machine; the large-scale
-  experiments use the block-minimum simulation in
-  :mod:`repro.multiwalk.simulate`.
-
-Both report two distinct wall-clock figures: the race/emulation total
-(``wall_clock_seconds``) and the winning walk's own duration
-(``walk_wall_clock_seconds``), which is the physically meaningful cost of a
-genuinely parallel execution.
+:func:`emulate_multiwalk` runs the ``n`` walks one after another in the
+current process and reports the winner.  In iteration count this is
+*exactly* what a parallel run would measure (the walks do not interact);
+only the wall-clock figure is an emulation.  To race walks for real, call
+:func:`repro.engine.run_race` on a parallel backend; the large-scale
+experiments use the block-minimum simulation in
+:mod:`repro.multiwalk.simulate`.
 """
 
 from __future__ import annotations
 
-import dataclasses
-import multiprocessing as mp
 import time
 
-from repro.engine.backends import ProcessBackend, SerialBackend
-from repro.engine.core import run_race
+from repro.engine.core import RaceOutcome
 from repro.engine.seeding import spawn_seeds
-from repro.solvers.base import LasVegasAlgorithm, RunResult
+from repro.solvers.base import LasVegasAlgorithm
 
-__all__ = ["MultiWalkExecutor", "MultiwalkRunOutcome", "emulate_multiwalk"]
-
-
-@dataclasses.dataclass(frozen=True)
-class MultiwalkRunOutcome:
-    """Outcome of one multi-walk execution on ``n_walks`` walks.
-
-    ``wall_clock_seconds`` is the duration of the whole race (launch to
-    cancellation) on whatever substrate ran it; ``walk_wall_clock_seconds``
-    is the winning walk's own duration — what an ideal parallel execution
-    with one core per walk would have measured.
-    """
-
-    n_walks: int
-    winner_result: RunResult
-    winner_index: int
-    wall_clock_seconds: float
-    min_iterations: int
-    walk_wall_clock_seconds: float = float("nan")
-
-    @property
-    def solved(self) -> bool:
-        return self.winner_result.solved
+__all__ = ["emulate_multiwalk"]
 
 
 def emulate_multiwalk(
@@ -60,12 +25,17 @@ def emulate_multiwalk(
     n_walks: int,
     *,
     base_seed: int = 0,
-) -> MultiwalkRunOutcome:
+) -> RaceOutcome:
     """Emulate one ``n_walks``-core multi-walk by sequential execution.
 
-    All walks are run to completion and the one with the fewest iterations
-    is declared the winner — identical in distribution (for the iteration
-    measure) to a genuinely parallel first-finisher-wins execution.
+    All walks are run to completion (so ``n_completed == n_walks``) and the
+    one with the fewest iterations is declared the winner — identical in
+    distribution (for the iteration measure) to a genuinely parallel
+    first-finisher-wins execution.  When no walk solves, the one with the
+    fewest iterations wins, ties broken by lowest walk index (the rule of
+    :func:`repro.engine.run_race`).  ``wall_clock_seconds`` is the total
+    emulation time; the winner's own ``runtime_seconds`` is what an ideal
+    parallel execution with one core per walk would have measured.
     """
     if n_walks < 1:
         raise ValueError(f"n_walks must be >= 1, got {n_walks}")
@@ -76,96 +46,10 @@ def emulate_multiwalk(
     solved_indices = [i for i, r in enumerate(results) if r.solved]
     candidates = solved_indices if solved_indices else range(len(results))
     winner_index = min(candidates, key=lambda i: (results[i].iterations, i))
-    winner = results[winner_index]
-    return MultiwalkRunOutcome(
+    return RaceOutcome(
         n_walks=n_walks,
-        winner_result=winner,
         winner_index=winner_index,
+        winner_result=results[winner_index],
         wall_clock_seconds=elapsed,
-        min_iterations=int(winner.iterations),
-        walk_wall_clock_seconds=float(winner.runtime_seconds),
+        n_completed=n_walks,
     )
-
-
-class MultiWalkExecutor:
-    """Process-based independent multi-walk (Definition 2 of the paper).
-
-    Parameters
-    ----------
-    algorithm:
-        The Las Vegas algorithm to parallelise.  It must be picklable (all
-        solvers in this package are).
-    n_walks:
-        Number of concurrent walks.
-    n_processes:
-        Worker processes to use; defaults to ``min(n_walks, cpu_count)``.
-        When fewer processes than walks are available the remaining walks
-        are queued, which preserves correctness (the first solved walk still
-        wins) at the cost of wall-clock fidelity.  With ``n_processes=1``
-        the walks run serially through the same race protocol — same winner
-        semantics, same ``wall_clock_seconds`` meaning (time until the race
-        is decided), just without pool overhead.
-    """
-
-    def __init__(
-        self,
-        algorithm: LasVegasAlgorithm,
-        n_walks: int,
-        *,
-        n_processes: int | None = None,
-    ) -> None:
-        if n_walks < 1:
-            raise ValueError(f"n_walks must be >= 1, got {n_walks}")
-        self.algorithm = algorithm
-        self.n_walks = int(n_walks)
-        cpu = mp.cpu_count()
-        self.n_processes = int(n_processes) if n_processes is not None else min(self.n_walks, cpu)
-        if self.n_processes < 1:
-            raise ValueError(f"n_processes must be >= 1, got {self.n_processes}")
-
-    def run(self, base_seed: int = 0) -> MultiwalkRunOutcome:
-        """Execute one multi-walk; the first *solved* walk to finish wins.
-
-        If no walk solves within its budget, the completed walk with the
-        fewest iterations wins, ties broken by lowest walk index (a
-        deterministic rule regardless of completion order).
-        """
-        backend = (
-            SerialBackend()
-            if self.n_processes == 1
-            else ProcessBackend(workers=self.n_processes)
-        )
-        outcome = run_race(
-            self.algorithm,
-            self.n_walks,
-            base_seed=base_seed,
-            backend=backend,
-        )
-        return MultiwalkRunOutcome(
-            n_walks=self.n_walks,
-            winner_result=outcome.winner_result,
-            winner_index=outcome.winner_index,
-            wall_clock_seconds=outcome.wall_clock_seconds,
-            min_iterations=int(outcome.winner_result.iterations),
-            walk_wall_clock_seconds=float(outcome.winner_result.runtime_seconds),
-        )
-
-    def measure_speedup(
-        self,
-        sequential_mean_seconds: float,
-        *,
-        n_repeats: int = 5,
-        base_seed: int = 0,
-    ) -> float:
-        """Average wall-clock speed-up over ``n_repeats`` multi-walk executions."""
-        if n_repeats < 1:
-            raise ValueError(f"n_repeats must be >= 1, got {n_repeats}")
-        seeds = spawn_seeds(base_seed, n_repeats)
-        total = 0.0
-        for seed in seeds:
-            outcome = self.run(base_seed=seed)
-            total += outcome.wall_clock_seconds
-        mean_parallel = total / n_repeats
-        if mean_parallel <= 0.0:
-            return float("inf")
-        return sequential_mean_seconds / mean_parallel

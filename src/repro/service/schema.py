@@ -20,7 +20,7 @@ from typing import Any, Mapping
 
 from repro.campaign import CONTROLLER_NAMES, StageSpec, select_stages
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.registry import campaign_stages_for
+from repro.experiments.stages import campaign_stages
 
 __all__ = [
     "CampaignSubmission",
@@ -135,7 +135,7 @@ class CampaignSubmission:
 
     def build_stages(self) -> list[StageSpec]:
         """The stage DAG this submission asks the orchestrator to run."""
-        stages = campaign_stages_for(self.config)
+        stages = campaign_stages(self.config)
         if self.stages is not None:
             stages = select_stages(stages, self.stages)
         return stages

@@ -25,11 +25,11 @@ contract — stays in the base class.
 from __future__ import annotations
 
 import collections
-import os
+import json
 import threading
 from pathlib import Path
 
-from repro.engine.cache import ObservationCache
+from repro.engine.cache import ObservationCache, atomic_write_bytes
 from repro.multiwalk.observations import RuntimeObservations
 
 __all__ = ["TenantCacheStore", "TenantObservationCache"]
@@ -129,10 +129,9 @@ class TenantCacheStore:
     def store(self, tenant: str, name: str, observations: RuntimeObservations) -> Path:
         """Persist a batch into the shared pool and attribute it to ``tenant``."""
         path = self.object_path(name)
-        tmp = path.with_name(f"{name}.tmp-{os.getpid()}-{threading.get_ident()}")
-        observations.save(tmp)
-        size = tmp.stat().st_size
-        os.replace(tmp, path)
+        data = json.dumps(observations.to_dict()).encode()
+        atomic_write_bytes(path, data)
+        size = len(data)
         (self.tenant_dir(tenant) / name).touch()
         with self._lock:
             self._lru[name] = size

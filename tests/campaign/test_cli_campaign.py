@@ -9,17 +9,7 @@ the BUG-021 CLI regression.
 
 import json
 
-import pytest
-
 from repro.cli import main
-from repro.experiments.data import clear_observation_cache
-
-
-@pytest.fixture(autouse=True)
-def fresh_memo():
-    clear_observation_cache()
-    yield
-    clear_observation_cache()
 
 
 def _run(capsys, argv):
@@ -41,7 +31,6 @@ class TestOffController:
 
     def test_static_prints_the_same_summary(self, capsys):
         rc_off, out_off, err_off = _run(capsys, SAT_ONLY)
-        clear_observation_cache()
         rc_static, out_static, err_static = _run(
             capsys, SAT_ONLY + ["--controller", "static"]
         )

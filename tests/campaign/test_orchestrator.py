@@ -96,21 +96,6 @@ class TestOffController:
         assert set(observations) == {"S", "S/alias"}
         assert observations["S"] is observations["S/alias"]
 
-    def test_precollected_skips_execution(self):
-        calls = []
-
-        def make_solver(budget):
-            calls.append(budget)
-            return GeometricSolver(budget)
-
-        stage = _stage(make_solver=make_solver)
-        batch = collect_batch(GeometricSolver(400), 10, base_seed=7, label="geom-S")
-        report = run_campaign([stage], precollected={"S": batch})
-        assert calls == []  # the solver factory was never invoked
-        np.testing.assert_array_equal(
-            report.observations()["S"].iterations, batch.iterations
-        )
-
 
 class TestBug021:
     """Regression for BUG-021: a required stage with zero solved

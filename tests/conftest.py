@@ -2,7 +2,10 @@
 
 Solver campaigns are by far the slowest part of testing, so a single tiny
 campaign is collected once per session and shared by every experiment-layer
-test through the ``tiny_observations`` fixture.
+test through the ``tiny_observations`` fixture.  It lands in a
+session-wide disk cache (``tiny_cache_dir``) that tiny-profile CLI
+invocations pass as ``--cache``, so they read it back instead of
+re-running the solvers.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ import numpy as np
 import pytest
 
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.data import collect_benchmark_observations
+from repro.experiments.data import collect_observations
 
 
 @pytest.fixture
@@ -27,6 +30,12 @@ def tiny_config() -> ExperimentConfig:
 
 
 @pytest.fixture(scope="session")
-def tiny_observations(tiny_config):
+def tiny_cache_dir(tmp_path_factory):
+    """One observation cache directory for every tiny-profile campaign."""
+    return tmp_path_factory.mktemp("tiny-cache")
+
+
+@pytest.fixture(scope="session")
+def tiny_observations(tiny_config, tiny_cache_dir):
     """One shared solver campaign for all experiment-layer tests."""
-    return collect_benchmark_observations(tiny_config)
+    return collect_observations(tiny_config, ("benchmarks",), cache_dir=tiny_cache_dir)

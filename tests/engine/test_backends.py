@@ -17,6 +17,7 @@ from repro.engine.backends import (
     default_worker_count,
 )
 from repro.engine.core import collect_batch, resolve_backend, run_race
+from repro.engine.seeding import spawn_seeds
 from repro.solvers.adaptive_search import AdaptiveSearch, AdaptiveSearchConfig
 from repro.solvers.base import LasVegasAlgorithm, RunResult
 
@@ -63,14 +64,6 @@ class TestBackendEquivalence:
             SyntheticAlgorithm(), 40, base_seed=3, backend="thread", workers=workers
         )
         np.testing.assert_array_equal(batch.iterations, reference.iterations)
-
-    def test_matches_legacy_sequential_runner(self):
-        """The engine reproduces the pre-engine run_sequential_batch output."""
-        from repro.multiwalk.runner import run_sequential_batch
-
-        engine_batch = collect_batch(SyntheticAlgorithm(), 30, base_seed=9)
-        runner_batch = run_sequential_batch(SyntheticAlgorithm(), 30, base_seed=9)
-        np.testing.assert_array_equal(engine_batch.iterations, runner_batch.iterations)
 
 
 class TestCollectBatch:
@@ -137,6 +130,10 @@ class TestRunRace:
         assert outcome.solved
         assert outcome.winner_index == 0  # synthetic always solves
         assert outcome.n_completed == 1  # remaining walks were cancelled
+        first = SyntheticAlgorithm().run(spawn_seeds(5, 8)[0])
+        assert outcome.winner_result.iterations == first.iterations
+        # The winner's own duration is bounded by the race it decided.
+        assert 0.0 <= outcome.winner_result.runtime_seconds <= outcome.wall_clock_seconds
 
     def test_unsolved_tie_break_lowest_index(self):
         class NeverSolves(LasVegasAlgorithm):
@@ -164,6 +161,8 @@ class TestRunRace:
                 )
 
         serial = run_race(BudgetByIndex(), 6, base_seed=11)
+        iterations = [BudgetByIndex().run(seed).iterations for seed in spawn_seeds(11, 6)]
+        assert serial.winner_index == min(range(6), key=lambda i: (iterations[i], i))
         threaded = run_race(BudgetByIndex(), 6, base_seed=11, backend="thread", workers=3)
         assert serial.winner_index == threaded.winner_index
         assert serial.winner_result.iterations == threaded.winner_result.iterations

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.csp.problems import CostasArrayProblem
-from repro.engine.cache import ObservationCache, algorithm_fingerprint
+from repro.engine.cache import ObservationCache, algorithm_fingerprint, atomic_write_bytes
 from repro.engine.core import collect_batch
 from repro.solvers.adaptive_search import AdaptiveSearch, AdaptiveSearchConfig
 from repro.solvers.base import LasVegasAlgorithm, RunResult
@@ -53,12 +53,39 @@ class TestAlgorithmFingerprint:
         assert algorithm_fingerprint(WalkSAT(f1)) == algorithm_fingerprint(WalkSAT(f1_again))
 
 
+class TestAtomicWriteBytes:
+    def test_replaces_the_whole_file_and_leaves_no_sibling(self, tmp_path):
+        path = tmp_path / "entry.json"
+        path.write_bytes(b"a much longer previous payload")
+        atomic_write_bytes(path, b"new")
+        assert path.read_bytes() == b"new"
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_interrupted_overwrite_keeps_the_previous_content(self, tmp_path, monkeypatch):
+        from pathlib import Path
+
+        path = tmp_path / "entry.json"
+        path.write_bytes(b"previous")
+        write_bytes = Path.write_bytes
+
+        def torn_bytes(target, data):
+            write_bytes(target, data[: len(data) // 2])
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(Path, "write_bytes", torn_bytes)
+        with pytest.raises(KeyboardInterrupt):
+            atomic_write_bytes(path, b"replacement payload")
+        monkeypatch.undo()
+        assert path.read_bytes() == b"previous"
+        assert list(tmp_path.iterdir()) == [path]
+
+
 class TestObservationCache:
     def test_round_trip(self, tmp_path):
         cache = ObservationCache(tmp_path)
         batch = collect_batch(CountingAlgorithm(), 10, base_seed=1, cache=cache)
         # Probe with a pristine object, as a later process would.
-        loaded = cache.load(CountingAlgorithm(), 10, 1, label=batch.label)
+        loaded = cache.read_batch(cache.path_for(CountingAlgorithm(), 10, 1, label=batch.label))
         assert loaded is not None
         np.testing.assert_array_equal(loaded.iterations, batch.iterations)
         np.testing.assert_array_equal(loaded.seeds, batch.seeds)
@@ -93,7 +120,7 @@ class TestObservationCache:
 
     def test_miss_returns_none(self, tmp_path):
         cache = ObservationCache(tmp_path)
-        assert cache.load(CountingAlgorithm(), 5, 0) is None
+        assert cache.read_batch(cache.path_for(CountingAlgorithm(), 5, 0)) is None
 
     def test_different_seed_triggers_fresh_campaign(self, tmp_path):
         algo = CountingAlgorithm()
@@ -131,3 +158,35 @@ class TestObservationCache:
         second = collect_batch(solver, 6, base_seed=4, cache=tmp_path, backend="process", workers=2)
         np.testing.assert_array_equal(first.iterations, second.iterations)
         assert len(list(tmp_path.glob("observations-*.json"))) == 1
+
+    def test_interrupted_write_leaves_no_entry(self, tmp_path, monkeypatch):
+        """Regression: a campaign killed mid-write must not leave a truncated
+        batch at its content address, where every later run with that key
+        would fail to parse it."""
+        from pathlib import Path
+
+        write_bytes, write_text = Path.write_bytes, Path.write_text
+
+        # SIGINT half-way through writing the batch, whichever way it is written.
+        def torn_bytes(path, data):
+            write_bytes(path, data[: len(data) // 2])
+            raise KeyboardInterrupt
+
+        def torn_text(path, data, *args, **kwargs):
+            write_text(path, data[: len(data) // 2])
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(Path, "write_bytes", torn_bytes)
+        monkeypatch.setattr(Path, "write_text", torn_text)
+        with pytest.raises(KeyboardInterrupt):
+            collect_batch(CountingAlgorithm(), 5, base_seed=1, cache=tmp_path)
+        assert list(tmp_path.iterdir()) == []  # no entry, no stray temp file
+        monkeypatch.undo()
+
+        algo = CountingAlgorithm()
+        batch = collect_batch(algo, 5, base_seed=1, cache=tmp_path)
+        assert algo.calls == 5  # re-ran instead of reading a broken entry
+        cache = ObservationCache(tmp_path)
+        path = cache.path_for(CountingAlgorithm(), 5, 1, label=batch.label)
+        np.testing.assert_array_equal(cache.read_batch(path).iterations, batch.iterations)
+        assert list(tmp_path.iterdir()) == [path]

@@ -536,25 +536,22 @@ class TestSATWorkloadFamilies:
         import dataclasses
 
         from repro.experiments.config import ExperimentConfig
-        from repro.experiments.data import clear_observation_cache, collect_sat_observations
+        from repro.experiments.data import collect_observations
 
         config = dataclasses.replace(
             ExperimentConfig.tiny(), n_sequential_runs=8, **overrides
         )
-        clear_observation_cache()
-        serial = collect_sat_observations(config, cache_dir=tmp_path / "serial")["SAT"]
-        clear_observation_cache()
+        serial = collect_observations(config, ("sat",), cache_dir=tmp_path / "serial")["SAT"]
         backend = DistributedBackend(job_dir=tmp_path / "jobs", poll_interval=0.01)
         backend.start()
         workers = _spawn_workers(2, job_dir=tmp_path / "jobs")
         try:
-            distributed = collect_sat_observations(
-                config, cache_dir=tmp_path / "dist", backend=backend
+            distributed = collect_observations(
+                config, ("sat",), cache_dir=tmp_path / "dist", backend=backend
             )["SAT"]
         finally:
             backend.shutdown()
             _join_workers(workers)
-            clear_observation_cache()
         assert _deterministic_fields(distributed) == _deterministic_fields(serial)
         # Both collections persisted the batch under the same content address.
         serial_files = sorted(p.name for p in (tmp_path / "serial").glob("*.json"))

@@ -4,12 +4,7 @@ import numpy as np
 import pytest
 
 from repro.experiments.config import BENCHMARK_KEYS, SAT_KEY, ExperimentConfig
-from repro.experiments.data import (
-    CampaignSummary,
-    clear_observation_cache,
-    collect_benchmark_observations,
-    collect_sat_observations,
-)
+from repro.experiments.data import CampaignSummary, collect_observations
 
 
 class TestExperimentConfig:
@@ -58,13 +53,6 @@ class TestCampaignCollection:
         for key in BENCHMARK_KEYS:
             assert tiny_observations[key].n_runs == tiny_config.n_sequential_runs
 
-    def test_in_process_cache_returns_same_data(self, tiny_config, tiny_observations):
-        again = collect_benchmark_observations(tiny_config)
-        for key in BENCHMARK_KEYS:
-            np.testing.assert_array_equal(
-                again[key].iterations, tiny_observations[key].iterations
-            )
-
     def test_disk_cache_round_trip(self, tmp_path):
         config = ExperimentConfig(
             magic_square_n=3,
@@ -76,15 +64,12 @@ class TestCampaignCollection:
             max_iterations=20_000,
             base_seed=7,
         )
-        clear_observation_cache()
-        first = collect_benchmark_observations(config, cache_dir=tmp_path)
+        first = collect_observations(config, ("benchmarks",), cache_dir=tmp_path)
         files = list(tmp_path.glob("observations-*.json"))
         assert len(files) == 3
-        clear_observation_cache()
-        second = collect_benchmark_observations(config, cache_dir=tmp_path)
+        second = collect_observations(config, ("benchmarks",), cache_dir=tmp_path)
         for key in BENCHMARK_KEYS:
             np.testing.assert_array_equal(first[key].iterations, second[key].iterations)
-        clear_observation_cache()
 
     def test_campaign_summary(self, tiny_config, tiny_observations):
         summary = CampaignSummary.from_observations(tiny_config, tiny_observations)
@@ -135,11 +120,11 @@ class TestSATConfig:
 
 
 class TestSATCampaignCollection:
-    def test_collection_and_in_process_cache(self, tiny_config):
-        first = collect_sat_observations(tiny_config)
+    def test_collection_is_deterministic(self, tiny_config):
+        first = collect_observations(tiny_config, ("sat",))
         assert set(first) == {SAT_KEY}
         assert first[SAT_KEY].n_runs == tiny_config.n_sequential_runs
-        again = collect_sat_observations(tiny_config)
+        again = collect_observations(tiny_config, ("sat",))
         np.testing.assert_array_equal(first[SAT_KEY].iterations, again[SAT_KEY].iterations)
 
     def test_disk_cache_round_trip(self, tmp_path):
@@ -149,18 +134,12 @@ class TestSATCampaignCollection:
             max_iterations=50_000,
             base_seed=13,
         )
-        clear_observation_cache()
-        first = collect_sat_observations(config, cache_dir=tmp_path)
+        first = collect_observations(config, ("sat",), cache_dir=tmp_path)
         assert len(list(tmp_path.glob("observations-*.json"))) == 1
-        clear_observation_cache()
-        second = collect_sat_observations(config, cache_dir=tmp_path)
+        second = collect_observations(config, ("sat",), cache_dir=tmp_path)
         np.testing.assert_array_equal(first[SAT_KEY].iterations, second[SAT_KEY].iterations)
-        clear_observation_cache()
 
     def test_sat_campaign_is_backend_invariant(self, tiny_config):
-        clear_observation_cache()
-        serial = collect_sat_observations(tiny_config)[SAT_KEY]
-        clear_observation_cache()
-        threaded = collect_sat_observations(tiny_config, backend="thread", workers=2)[SAT_KEY]
-        np.testing.assert_array_equal(serial.iterations, threaded.iterations)
-        clear_observation_cache()
+        serial = collect_observations(tiny_config, ("sat",))[SAT_KEY]
+        threaded = collect_observations(tiny_config, ("sat",), backend="thread", workers=2)
+        np.testing.assert_array_equal(serial.iterations, threaded[SAT_KEY].iterations)

@@ -83,10 +83,10 @@ class TestCLI:
     def test_run_unknown_experiment_fails(self, capsys):
         assert main(["run", "figure99", "--profile", "tiny"]) == 2
 
-    def test_run_solver_experiment_tiny_profile(self, capsys, tiny_observations):
-        # The session-scoped fixture has already warmed the in-process cache
-        # for the tiny profile, so this does not re-run the solvers.
-        assert main(["run", "table2", "--profile", "tiny"]) == 0
+    def test_run_solver_experiment_tiny_profile(self, capsys, tiny_observations, tiny_cache_dir):
+        # The session-scoped fixture has already warmed the disk cache for
+        # the tiny profile, so this does not re-run the solvers.
+        assert main(["run", "table2", "--profile", "tiny", "--cache", str(tiny_cache_dir)]) == 0
         assert "Table 2" in capsys.readouterr().out
 
     def test_predict_from_file(self, tmp_path, capsys, rng):
@@ -104,8 +104,8 @@ class TestCLI:
         assert main(["predict", "--input", str(path), "--empirical"]) == 0
         assert "empirical" in capsys.readouterr().out
 
-    def test_campaign_command(self, capsys, tiny_observations):
-        assert main(["campaign", "--profile", "tiny"]) == 0
+    def test_campaign_command(self, capsys, tiny_cache_dir):
+        assert main(["campaign", "--profile", "tiny", "--cache", str(tiny_cache_dir)]) == 0
         out = capsys.readouterr().out
         assert "success-rate" in out
 
@@ -115,29 +115,25 @@ class TestCLI:
         assert "sat_flips" in out
         assert "sat_portfolio" in out
 
-    def test_run_sat_experiments(self, capsys):
-        assert main(["run", "sat_flips", "sat_portfolio", "--profile", "tiny"]) == 0
+    def test_run_sat_experiments(self, capsys, tiny_cache_dir):
+        argv = ["run", "sat_flips", "sat_portfolio", "--profile", "tiny"]
+        assert main(argv + ["--cache", str(tiny_cache_dir)]) == 0
         out = capsys.readouterr().out
         assert "Sequential WalkSAT flips" in out
         assert "portfolio speed-ups" in out
 
-    def test_campaign_includes_the_sat_workload(self, capsys, tiny_observations):
-        assert main(["campaign", "--profile", "tiny"]) == 0
+    def test_campaign_includes_the_sat_workload(self, capsys, tiny_cache_dir):
+        assert main(["campaign", "--profile", "tiny", "--cache", str(tiny_cache_dir)]) == 0
         out = capsys.readouterr().out
         assert "3-SAT" in out
 
     def test_campaign_disk_cache_hits_on_second_invocation(self, tmp_path, capsys):
-        from repro.experiments.data import clear_observation_cache
-
-        clear_observation_cache()
         assert main(["campaign", "--profile", "tiny", "--cache", str(tmp_path)]) == 0
         files = sorted(tmp_path.glob("observations-*.json"))
         # MS, AI, Costas, the SAT workload, and the three non-default
         # policies of the policy family (walksat shares the SAT entry).
         assert len(files) == 7
         stamps = [f.stat().st_mtime_ns for f in files]
-        clear_observation_cache()
         assert main(["campaign", "--profile", "tiny", "--cache", str(tmp_path)]) == 0
         # A warm cache answers without re-running or re-writing any campaign.
         assert [f.stat().st_mtime_ns for f in sorted(tmp_path.glob("*.json"))] == stamps
-        clear_observation_cache()

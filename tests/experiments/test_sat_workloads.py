@@ -6,20 +6,9 @@ import numpy as np
 import pytest
 
 from repro.experiments.config import SAT_FAMILIES, SAT_KEY, ExperimentConfig
-from repro.experiments.data import (
-    clear_observation_cache,
-    collect_sat_observations,
-    collect_sat_policy_observations,
-)
+from repro.experiments.data import collect_observations
 from repro.experiments.sat import sat_flips_table, sat_policy_table
 from repro.solvers.policies import POLICIES
-
-
-@pytest.fixture(autouse=True)
-def _fresh_campaign_cache():
-    clear_observation_cache()
-    yield
-    clear_observation_cache()
 
 
 def _tiny(**overrides):
@@ -81,13 +70,12 @@ class TestCampaignCollection:
     @pytest.mark.parametrize("family", SAT_FAMILIES)
     def test_collect_each_family_through_the_engine(self, family, tmp_path):
         config = _tiny(sat_family=family, n_sequential_runs=8)
-        observations = collect_sat_observations(config, cache_dir=tmp_path)
+        observations = collect_observations(config, ("sat",), cache_dir=tmp_path)
         batch = observations[SAT_KEY]
         assert batch.n_runs == 8
         assert batch.label == config.sat_benchmark().label
         # Second collection must be a disk-cache hit producing equal data.
-        clear_observation_cache()
-        again = collect_sat_observations(config, cache_dir=tmp_path)[SAT_KEY]
+        again = collect_observations(config, ("sat",), cache_dir=tmp_path)[SAT_KEY]
         np.testing.assert_array_equal(batch.iterations, again.iterations)
         np.testing.assert_array_equal(batch.solved, again.solved)
 
@@ -95,33 +83,45 @@ class TestCampaignCollection:
         for family in SAT_FAMILIES:
             for policy in ("walksat", "novelty"):
                 config = _tiny(sat_family=family, sat_policy=policy, n_sequential_runs=4)
-                collect_sat_observations(config, cache_dir=tmp_path)
-                clear_observation_cache()
+                collect_observations(config, ("sat",), cache_dir=tmp_path)
         files = {p.name for p in tmp_path.glob("*.json")}
         assert len(files) == len(SAT_FAMILIES) * 2, files
 
     def test_policy_campaign_collects_every_policy(self):
         config = _tiny(n_sequential_runs=6)
-        observations = collect_sat_policy_observations(config)
+        observations = collect_observations(config, ("sat_policies",))
         assert set(observations) == {f"{SAT_KEY}/{p}" for p in POLICIES}
         labels = {observations[f"{SAT_KEY}/{p}"].label for p in POLICIES}
         assert len(labels) == len(POLICIES)  # one label per policy
 
-    def test_policy_campaign_reuses_the_default_policy_batch_in_process(self):
-        # Regression: without any disk cache, the default-policy batch must
-        # not be collected twice — the policy campaign reuses the exact
-        # object the single-policy campaign memoised.
-        config = _tiny(n_sequential_runs=6)
-        single = collect_sat_observations(config)[SAT_KEY]
-        policies = collect_sat_policy_observations(config)
-        assert policies[f"{SAT_KEY}/{config.sat_policy}"] is single
+    def test_run_executes_the_shared_default_policy_batch_once(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # Regression: `run sat_flips sat_policies` needs the SAT workload and
+        # the policy family; the default policy's batch serves both, so it
+        # must run (and be written) once, with no in-process memo involved.
+        import repro.cli
+
+        events = []
+        collect = repro.cli.collect_observations
+
+        def counting_collect(*args, **kwargs):
+            return collect(*args, progress=events.append, **kwargs)
+
+        monkeypatch.setattr(repro.cli, "collect_observations", counting_collect)
+        argv = ["run", "sat_flips", "sat_policies", "--profile", "tiny", "--cache", str(tmp_path)]
+        assert repro.cli.main(argv) == 0
+        assert "Sequential WalkSAT flips" in capsys.readouterr().out
+        assert len(list(tmp_path.glob("observations-*.json"))) == 1 + (len(POLICIES) - 1)
+        n_runs = ExperimentConfig.tiny().n_sequential_runs
+        assert sum(1 for event in events if event.completed == 1) == len(POLICIES)
+        assert len(events) == len(POLICIES) * n_runs
 
     def test_policy_campaign_shares_the_default_policy_cache_entry(self, tmp_path):
         config = _tiny(n_sequential_runs=6)
-        collect_sat_observations(config, cache_dir=tmp_path)
+        collect_observations(config, ("sat",), cache_dir=tmp_path)
         n_single = len(list(tmp_path.glob("*.json")))
-        clear_observation_cache()
-        collect_sat_policy_observations(config, cache_dir=tmp_path)
+        collect_observations(config, ("sat_policies",), cache_dir=tmp_path)
         n_all = len(list(tmp_path.glob("*.json")))
         # The walksat batch was reused from disk: only the three non-default
         # policies added files.
@@ -135,7 +135,7 @@ class TestCensoringAwareFits:
         # censors part of the campaign; sat_flips must report the censored
         # exponential MLE mean instead of the naive solved-only mean.
         config = _tiny(sat_family="uniform", n_sequential_runs=30, max_iterations=60)
-        observations = collect_sat_observations(config)
+        observations = collect_observations(config, ("sat",))
         batch = observations[SAT_KEY]
         assert 0 < batch.n_solved < batch.n_runs, "need a partially censored batch"
         table = sat_flips_table(config, observations)
@@ -147,7 +147,7 @@ class TestCensoringAwareFits:
 
     def test_fully_observed_batch_reports_no_censored_mean(self):
         config = _tiny(n_sequential_runs=8)
-        observations = collect_sat_observations(config)
+        observations = collect_observations(config, ("sat",))
         assert observations[SAT_KEY].n_solved == 8
         table = sat_flips_table(config, observations)
         assert table.censored_mean is None
@@ -155,7 +155,7 @@ class TestCensoringAwareFits:
 
     def test_fully_censored_batch_formats_without_crashing(self):
         config = _tiny(sat_family="uniform", n_sequential_runs=6, max_iterations=1)
-        observations = collect_sat_observations(config)
+        observations = collect_observations(config, ("sat",))
         assert observations[SAT_KEY].n_solved == 0
         table = sat_flips_table(config, observations)
         assert table.summary is None
@@ -163,7 +163,7 @@ class TestCensoringAwareFits:
 
     def test_policy_table_reports_per_policy_censoring(self):
         config = _tiny(sat_family="uniform", n_sequential_runs=20, max_iterations=60)
-        table = sat_policy_table(config)
+        table = sat_policy_table(config, collect_observations(config, ("sat_policies",)))
         assert table.policies == POLICIES
         assert set(table.censored_means) == set(POLICIES)
         formatted = table.format()

@@ -1,10 +1,11 @@
-"""Multi-walk executors (sequential emulation and process-based)."""
+"""In-process multi-walk emulation."""
 
 import numpy as np
 import pytest
 
 from repro.csp.problems import CostasArrayProblem, NQueensProblem
-from repro.multiwalk.parallel import MultiWalkExecutor, MultiwalkRunOutcome, emulate_multiwalk
+from repro.engine import RaceOutcome
+from repro.multiwalk.parallel import emulate_multiwalk
 from repro.solvers.adaptive_search import AdaptiveSearch
 from repro.solvers.base import LasVegasAlgorithm, RunResult
 
@@ -21,27 +22,27 @@ class TestEmulateMultiwalk:
     def test_winner_has_minimum_iterations(self):
         algo = SyntheticAlgorithm()
         outcome = emulate_multiwalk(algo, 16, base_seed=0)
-        assert isinstance(outcome, MultiwalkRunOutcome)
+        assert isinstance(outcome, RaceOutcome)
         assert outcome.solved
-        assert outcome.min_iterations == outcome.winner_result.iterations
+        assert outcome.n_completed == 16  # every walk ran to completion
         # Re-running the individual walks must not find anything better.
         seq = np.random.SeedSequence(0)
         seeds = [int(s.generate_state(1)[0]) for s in seq.spawn(16)]
         best = min(algo.run(seed).iterations for seed in seeds)
-        assert outcome.min_iterations == best
+        assert outcome.winner_result.iterations == best
 
     def test_more_walks_never_hurt(self):
         """Multi-walk minimum is non-increasing in the number of walks (same seed tree)."""
         algo = SyntheticAlgorithm()
-        few = np.mean([emulate_multiwalk(algo, 2, base_seed=s).min_iterations for s in range(15)])
-        many = np.mean([emulate_multiwalk(algo, 16, base_seed=s).min_iterations for s in range(15)])
+        few = np.mean([emulate_multiwalk(algo, 2, base_seed=s).winner_result.iterations for s in range(15)])
+        many = np.mean([emulate_multiwalk(algo, 16, base_seed=s).winner_result.iterations for s in range(15)])
         assert many <= few
 
     def test_single_walk_equals_sequential_run(self):
         algo = SyntheticAlgorithm()
         outcome = emulate_multiwalk(algo, 1, base_seed=3)
         assert outcome.n_walks == 1
-        assert outcome.min_iterations > 0
+        assert outcome.winner_result.iterations > 0
 
     def test_rejects_zero_walks(self):
         with pytest.raises(ValueError):
@@ -53,7 +54,7 @@ class TestEmulateMultiwalk:
         solver = AdaptiveSearch(NQueensProblem(30), AdaptiveSearchConfig(max_iterations=2))
         outcome = emulate_multiwalk(solver, 3, base_seed=0)
         assert not outcome.solved
-        assert outcome.min_iterations <= 2
+        assert outcome.winner_result.iterations <= 2
 
     def test_real_solver_multiwalk_is_correct(self):
         solver = AdaptiveSearch(CostasArrayProblem(7))
@@ -61,32 +62,8 @@ class TestEmulateMultiwalk:
         assert outcome.solved
         assert solver.problem.is_solution(outcome.winner_result.solution)
 
-
-class TestMultiWalkExecutor:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            MultiWalkExecutor(SyntheticAlgorithm(), 0)
-        with pytest.raises(ValueError):
-            MultiWalkExecutor(SyntheticAlgorithm(), 2, n_processes=0)
-
-    def test_single_process_keeps_race_semantics(self):
-        """``n_processes=1`` races serially: first solved walk (in seed order) wins.
-
-        This matches what a one-worker pool would produce, so dropping to a
-        single process no longer silently changes the meaning of either the
-        winner or ``wall_clock_seconds`` (time until the race is decided,
-        not the time to run every walk to completion).
-        """
-        executor = MultiWalkExecutor(SyntheticAlgorithm(), 8, n_processes=1)
-        outcome = executor.run(base_seed=5)
-        seq = np.random.SeedSequence(5)
-        seeds = [int(s.generate_state(1)[0]) for s in seq.spawn(8)]
-        # SyntheticAlgorithm always solves, so the very first walk wins.
-        assert outcome.winner_index == 0
-        assert outcome.min_iterations == SyntheticAlgorithm().run(seeds[0]).iterations
-
     def test_unsolved_winner_tie_break_is_lowest_index(self):
-        """Regression: all-unsolved races pick (min iterations, min index)."""
+        """All-unsolved emulations pick (min iterations, min index), as run_race does."""
 
         class NeverSolves(LasVegasAlgorithm):
             name = "never-solves"
@@ -95,34 +72,7 @@ class TestMultiWalkExecutor:
                 # Constant budget exhaustion: every walk ties on iterations.
                 return RunResult(solved=False, iterations=77, runtime_seconds=0.0)
 
-        executor = MultiWalkExecutor(NeverSolves(), 6, n_processes=1)
-        outcome = executor.run(base_seed=9)
+        outcome = emulate_multiwalk(NeverSolves(), 6, base_seed=9)
         assert not outcome.solved
         assert outcome.winner_index == 0
-        assert outcome.min_iterations == 77
-        # The emulation applies the same deterministic tie-break.
-        emulated = emulate_multiwalk(NeverSolves(), 6, base_seed=9)
-        assert emulated.winner_index == 0
-
-    def test_per_walk_wall_clock_is_recorded(self):
-        executor = MultiWalkExecutor(SyntheticAlgorithm(), 4, n_processes=1)
-        outcome = executor.run(base_seed=2)
-        assert outcome.walk_wall_clock_seconds == outcome.winner_result.runtime_seconds
-        assert 0.0 <= outcome.walk_wall_clock_seconds <= outcome.wall_clock_seconds
-
-    def test_measure_speedup_positive(self):
-        executor = MultiWalkExecutor(SyntheticAlgorithm(), 4, n_processes=1)
-        speedup = executor.measure_speedup(sequential_mean_seconds=1.0, n_repeats=2)
-        assert speedup > 0.0
-
-    def test_measure_speedup_rejects_zero_repeats(self):
-        executor = MultiWalkExecutor(SyntheticAlgorithm(), 2, n_processes=1)
-        with pytest.raises(ValueError):
-            executor.measure_speedup(1.0, n_repeats=0)
-
-    @pytest.mark.slow
-    def test_process_pool_execution(self):
-        """Real process-based execution (small, in case only one CPU is available)."""
-        executor = MultiWalkExecutor(AdaptiveSearch(CostasArrayProblem(6)), 2, n_processes=2)
-        outcome = executor.run(base_seed=0)
-        assert outcome.solved
+        assert outcome.winner_result.iterations == 77

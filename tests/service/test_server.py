@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from repro.campaign import run_campaign, verify_report
-from repro.experiments.data import clear_observation_cache
 from repro.service import (
     CampaignClient,
     CampaignServer,
@@ -38,13 +37,6 @@ def deterministic_report(report) -> dict:
         for record in stage["stream"]:
             record.pop("runtime_seconds")
     return payload
-
-
-@pytest.fixture(autouse=True)
-def fresh_memo():
-    clear_observation_cache()
-    yield
-    clear_observation_cache()
 
 
 @pytest.fixture
@@ -73,7 +65,6 @@ class TestSubmitAndReport:
         assert snapshot["state"] == "done"
         via_http = client.report(job_id)
 
-        clear_observation_cache()
         reference = run_campaign(submission.build_stages(), controller="off")
         assert deterministic_report(via_http) == deterministic_report(reference)
         assert verify_report(via_http) >= 1

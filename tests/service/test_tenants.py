@@ -114,6 +114,27 @@ class TestLRUEviction:
         assert second.load("t", "kept.json") is not None
         assert second.hits == 1
 
+    def test_interrupted_store_leaves_no_object(self, tmp_path, monkeypatch):
+        from pathlib import Path
+
+        store = TenantCacheStore(tmp_path / "store")
+        write_bytes = Path.write_bytes
+
+        def torn_bytes(target, data):
+            write_bytes(target, data[: len(data) // 2])
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(Path, "write_bytes", torn_bytes)
+        with pytest.raises(KeyboardInterrupt):
+            store.store("t", "torn.json", _batch("torn"))
+        monkeypatch.undo()
+        assert list(store.objects_dir.iterdir()) == []
+        assert store.load("t", "torn.json") is None
+        assert store.stats()["stores"] == 0
+        # The next store of the same object lands cleanly.
+        store.store("t", "torn.json", _batch("torn"))
+        assert store.load("t", "torn.json").label == "torn"
+
     def test_rejects_nonpositive_bound(self, tmp_path):
         with pytest.raises(ValueError, match="max_bytes"):
             TenantCacheStore(tmp_path / "store", max_bytes=0)
